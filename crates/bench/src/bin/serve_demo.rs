@@ -4,15 +4,16 @@
 //! queues over three engine shards, then prints the throughput, queue
 //! latency, utilization and cache statistics a capacity planner needs.
 //!
-//! This is the admit-everything configuration of the serving front-end
-//! (`pointacc_bench::frontend`): nothing is shed, nothing expires. Run
-//! `frontend_demo` for the admission-controlled counterpart.
+//! It runs the serving front-end (`pointacc_bench::frontend`) with its
+//! default admit-everything policy: nothing is shed, nothing expires.
+//! Run `frontend_demo` for the admission-controlled counterpart.
 //!
 //! Scale the workload with `POINTACC_SCALE` (e.g. 0.02 for CI smoke).
 
 use pointacc::{Accelerator, Engine, PointAccConfig};
 use pointacc_baselines::Platform;
-use pointacc_bench::serve::{serve, Request, ServeOptions};
+use pointacc_bench::frontend::{Frontend, FrontendOptions};
+use pointacc_bench::serve::Request;
 use pointacc_nn::zoo;
 
 fn main() {
@@ -35,8 +36,12 @@ fn main() {
         .collect();
     let n_requests = requests.len();
 
-    let options =
-        ServeOptions { queue_capacity: 16, workers_per_engine: 2, scale: pointacc_bench::scale() };
+    let options = FrontendOptions {
+        queue_capacity: 16,
+        workers_per_engine: 2,
+        scale: pointacc_bench::scale(),
+        ..FrontendOptions::default()
+    };
     println!(
         "== Serving demo: {n_requests} requests over {} engine shards (queue cap {}, {} workers, scale {}) ==\n",
         engines.len(),
@@ -44,7 +49,7 @@ fn main() {
         engines.len() * options.workers_per_engine,
         options.scale,
     );
-    let report = serve(&engines, &benchmarks, requests, options);
+    let report = Frontend::new(&engines, &benchmarks, options).run(requests);
 
     println!(
         "drained     {} requests ({} unsupported, {} failed, {} rejected, {} expired) in {:.3} s",
@@ -78,7 +83,7 @@ fn main() {
         println!("  {name:<16} {n:>4}  ({:.2}x capacity)", util);
     }
     assert!(report.accounting_balances(), "every submitted request must be accounted for");
-    assert_eq!(report.rejected, 0, "serve admits everything");
+    assert_eq!(report.rejected, 0, "admit-all admits everything");
     assert!(report.completed >= 100, "demo must drain at least 100 requests");
     assert!(report.cache.hit_rate() > 0.0, "repeated rounds must hit the cache");
 }

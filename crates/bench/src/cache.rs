@@ -41,9 +41,9 @@
 //! picks up its disk tier from `POINTACC_ARTIFACT_DIR` (see
 //! [`crate::artifact_dir`]). Independent subsystems can own a private
 //! [`TraceCache`] when they need isolated hit-rate accounting —
-//! [`serve`](crate::serve::serve) does exactly that, so its reported
-//! hit rate reflects one request stream and is **not** warmed by
-//! earlier grid runs.
+//! [`Frontend::run`](crate::frontend::Frontend::run) does exactly that,
+//! so its reported hit rate reflects one request stream and is **not**
+//! warmed by earlier grid runs.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -177,7 +177,7 @@ pub struct TraceCache {
     compiles: Mutex<HashMap<TraceKey, u64>>,
     capacity: Option<usize>,
     artifact_dir: Option<PathBuf>,
-    failure_policy: FailurePolicy,
+    on_failure: FailurePolicy,
 }
 
 impl TraceCache {
@@ -208,7 +208,7 @@ impl TraceCache {
     /// Sets what happens when a negatively cached key is requested
     /// again (default [`FailurePolicy::Retain`]).
     pub fn with_failure_policy(mut self, policy: FailurePolicy) -> Self {
-        self.failure_policy = policy;
+        self.on_failure = policy;
         self
     }
 
@@ -245,7 +245,7 @@ impl TraceCache {
             let mut slots = lock(&self.slots);
             slots.tick += 1;
             let tick = slots.tick;
-            let retry_failures = self.failure_policy == FailurePolicy::RetryOnRequest;
+            let retry_failures = self.on_failure == FailurePolicy::RetryOnRequest;
             match slots.map.get_mut(key) {
                 Some(entry) if retry_failures && matches!(entry.slot.get(), Some(Err(_))) => {
                     // Transient-fault recovery: drop the failed outcome

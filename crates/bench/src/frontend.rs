@@ -1,11 +1,13 @@
-//! Admission-controlled async serving front-end with per-shard
-//! capacity modeling.
+//! Admission-controlled serving front-end with per-shard capacity
+//! modeling.
 //!
-//! [`serve`](crate::serve::serve) drains everything it is handed — the
-//! right shape for a batch harness, the wrong one for a service: under
-//! overload an admit-everything queue grows without bound and every
-//! request eventually misses its latency target. This module adds the
-//! serving-system discipline on top of the same worker machinery:
+//! Draining everything it is handed is the right shape for a batch
+//! harness and the wrong one for a service: under overload an
+//! admit-everything queue grows without bound and every request
+//! eventually misses its latency target. This module serves both: its
+//! default [`AdmissionPolicy::admit_all`] is the batch configuration,
+//! and a shed bound or request deadlines add the serving-system
+//! discipline on top of the same worker machinery:
 //!
 //! - **Capacity modeling** — each engine shard advertises a points/s
 //!   budget derived from its simulated cycle costs
@@ -28,14 +30,10 @@
 //!   injected clock, so scheduling behavior is testable without
 //!   sleeping. [`paced`] builds deterministic arrival processes by
 //!   advancing a `SimClock` as the request stream is consumed.
-//! - **An async producer** — admission and enqueueing run as a future
-//!   (executed by the in-tree `futures` shim) that suspends on
-//!   [`BoundedQueue::push_async`] backpressure instead of blocking,
-//!   while worker threads drain the per-shard queues exactly as in the
-//!   batch path.
-//!
-//! One code path serves both worlds: `serve` is simply
-//! [`AdmissionPolicy::admit_all`] on this front-end.
+//! - **A blocking producer** — admission and enqueueing run on the
+//!   calling thread, which blocks in [`BoundedQueue::push`] while the
+//!   routed shard's queue is full; worker threads drain the per-shard
+//!   queues.
 
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -186,8 +184,7 @@ pub enum Rejected {
 pub struct AdmissionPolicy {
     /// Shed a request ([`Rejected::Overloaded`]) when the modeled
     /// queueing delay on its best shard exceeds this bound. `None`
-    /// admits everything — the [`serve`](crate::serve::serve)
-    /// configuration.
+    /// admits everything — the batch-harness configuration.
     pub max_queue_delay: Option<Duration>,
     /// Also expire admitted requests whose absolute deadline has
     /// already passed when a worker claims them (on the run's clock).
@@ -223,8 +220,7 @@ impl AdmissionPolicy {
 #[derive(Clone, Debug)]
 pub struct FrontendOptions {
     /// Maximum queued (not yet claimed) requests per engine shard; the
-    /// async producer suspends while the assigned shard's queue is
-    /// full.
+    /// producer blocks while the assigned shard's queue is full.
     pub queue_capacity: usize,
     /// Worker threads per engine shard. With 0 workers nothing can ever
     /// drain, so admission sheds every request ([`Rejected::Overloaded`])
@@ -247,13 +243,6 @@ pub struct FrontendOptions {
     /// process restarted against a warm artifact directory compiles
     /// zero traces. `None` disables the disk tier.
     pub artifact_dir: Option<PathBuf>,
-    /// What the run's cache does when a request hits a negatively
-    /// cached build failure. A serving front-end defaults to
-    /// [`FailurePolicy::RetryOnRequest`] — a transient build fault must
-    /// not make a key permanently unservable — while the batch
-    /// [`serve`](crate::serve::serve) path keeps
-    /// [`FailurePolicy::Retain`] for exact amortization accounting.
-    pub failure_policy: FailurePolicy,
 }
 
 impl Default for FrontendOptions {
@@ -265,7 +254,6 @@ impl Default for FrontendOptions {
             policy: AdmissionPolicy::admit_all(),
             capacities: None,
             artifact_dir: crate::artifact_dir(),
-            failure_policy: FailurePolicy::RetryOnRequest,
         }
     }
 }
@@ -345,8 +333,8 @@ struct Completion {
 }
 
 /// The admission-controlled serving front-end: engines with calibrated
-/// capacity budgets, per-shard bounded queues, and an async producer
-/// applying the [`AdmissionPolicy`].
+/// capacity budgets, per-shard bounded queues, and a producer applying
+/// the [`AdmissionPolicy`].
 pub struct Frontend<'a> {
     engines: &'a [&'a dyn Engine],
     benchmarks: &'a [Benchmark],
@@ -399,16 +387,20 @@ impl<'a> Frontend<'a> {
 
     /// Serves `requests`, reading every timestamp from `clock`.
     ///
-    /// The producer runs as a future on the calling thread (admission,
-    /// routing, async backpressure); `workers_per_engine` threads per
-    /// shard drain the queues. The returned report accounts for every
-    /// request: [`ServeReport::accounting_balances`] always holds.
+    /// The producer runs on the calling thread (admission, routing,
+    /// blocking backpressure); `workers_per_engine` threads per shard
+    /// drain the queues. The run-private cache retries negatively
+    /// cached build failures ([`FailurePolicy::RetryOnRequest`]) so a
+    /// transient fault never makes a key unservable; pass a cache with
+    /// another policy to [`Frontend::run_on_cache`]. The returned report
+    /// accounts for every request: [`ServeReport::accounting_balances`]
+    /// always holds.
     pub fn run_with_clock(
         &self,
         clock: &dyn Clock,
         requests: impl IntoIterator<Item = Request>,
     ) -> ServeReport {
-        let mut cache = TraceCache::new().with_failure_policy(self.options.failure_policy);
+        let mut cache = TraceCache::new().with_failure_policy(FailurePolicy::RetryOnRequest);
         if let Some(dir) = &self.options.artifact_dir {
             cache = cache.with_artifact_dir(dir);
         }
@@ -438,9 +430,9 @@ impl<'a> Frontend<'a> {
 
         // Closes every queue when a worker exits for any reason —
         // crucially including a panic unwinding through
-        // `engine.evaluate`. Without it the producer could suspend
+        // `engine.evaluate`. Without it the producer could block
         // forever against a full queue that no surviving worker will
-        // drain; closing resolves the pending push, lets the scope
+        // drain; closing fails the pending push, lets the scope
         // join, and the scope then rethrows the worker's panic. Normal
         // worker exit only happens once the queues are already closed,
         // so the eager close is harmless there.
@@ -503,55 +495,51 @@ impl<'a> Frontend<'a> {
             }
 
             // This thread is the producer: admit, route, enqueue with
-            // async backpressure, then close so workers drain and exit.
-            // A failed push means a worker died and closed the queues —
-            // stop producing so its panic can surface through the scope
-            // join.
-            let submitted = futures::executor::block_on(async {
-                let mut shards: Vec<ShardModel> = self
-                    .capacities
-                    .iter()
-                    .map(|&capacity| ShardModel { capacity, backlog: 0.0, as_of: start })
-                    .collect();
-                let mut submitted = 0usize;
-                for request in requests {
-                    submitted += 1;
-                    let now = clock.now();
-                    match self.admit(&mut shards, &request, now) {
-                        Ok(shard) => {
-                            let deadline = request
-                                .deadline
-                                .map(|d| now.checked_add(d).unwrap_or(Duration::MAX));
-                            let admitted = Admitted { request, enqueued: now, deadline };
-                            if !queues[shard].push_async(admitted).await {
-                                break;
-                            }
+            // blocking backpressure, then close so workers drain and
+            // exit. A failed push means a worker died and closed the
+            // queues — stop producing so its panic can surface through
+            // the scope join.
+            let mut shards: Vec<ShardModel> = self
+                .capacities
+                .iter()
+                .map(|&capacity| ShardModel { capacity, backlog: 0.0, as_of: start })
+                .collect();
+            let mut submitted = 0usize;
+            for request in requests {
+                submitted += 1;
+                let now = clock.now();
+                match self.admit(&mut shards, &request, now) {
+                    Ok(shard) => {
+                        let deadline =
+                            request.deadline.map(|d| now.checked_add(d).unwrap_or(Duration::MAX));
+                        let admitted = Admitted { request, enqueued: now, deadline };
+                        if !queues[shard].push(admitted) {
+                            break;
                         }
-                        Err(rejection) => {
-                            let outcome = match rejection {
-                                Rejected::Overloaded { .. } => Outcome::Shed,
-                                Rejected::DeadlineExceeded { .. } => Outcome::Expired,
-                            };
-                            let shard = match rejection {
-                                Rejected::Overloaded { shard, .. } => shard,
-                                Rejected::DeadlineExceeded { .. } => 0,
-                            };
-                            if tx
-                                .send(Completion {
-                                    engine: shard,
-                                    queue_latency: Duration::ZERO,
-                                    points: 0,
-                                    outcome,
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
+                    }
+                    Err(rejection) => {
+                        let outcome = match rejection {
+                            Rejected::Overloaded { .. } => Outcome::Shed,
+                            Rejected::DeadlineExceeded { .. } => Outcome::Expired,
+                        };
+                        let shard = match rejection {
+                            Rejected::Overloaded { shard, .. } => shard,
+                            Rejected::DeadlineExceeded { .. } => 0,
+                        };
+                        if tx
+                            .send(Completion {
+                                engine: shard,
+                                queue_latency: Duration::ZERO,
+                                points: 0,
+                                outcome,
+                            })
+                            .is_err()
+                        {
+                            break;
                         }
                     }
                 }
-                submitted
-            });
+            }
             for q in &queues {
                 q.close();
             }
@@ -746,9 +734,8 @@ fn calibrate(engine: &dyn Engine, benchmarks: &[Benchmark], scale: f64) -> f64 {
 }
 
 /// Runs one admitted request on its shard's engine (the worker half of
-/// the pipeline, unchanged from the batch path): build or fetch the
-/// trace through the run-private cache, skip unsupported combinations,
-/// evaluate the rest.
+/// the pipeline): build or fetch the trace through the run's cache,
+/// skip unsupported combinations, evaluate the rest.
 fn execute(
     engine: &dyn Engine,
     engine_idx: usize,

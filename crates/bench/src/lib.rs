@@ -226,7 +226,7 @@ pub fn benchmark_trace_key(bench: &Benchmark, seed: u64, scale: f64) -> TraceKey
 
 /// Builds (or fetches) the benchmark trace through the process-wide
 /// [`cache::global`] trace cache, sharing compilation work across grids
-/// and figure binaries ([`serve::serve`] deliberately uses a
+/// and figure binaries ([`frontend::Frontend::run`] deliberately uses a
 /// run-private cache instead, so its hit rate reflects one request
 /// stream). Cached traces are retained until [`cache::TraceCache::clear`].
 pub fn cached_benchmark_trace(

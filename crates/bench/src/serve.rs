@@ -5,62 +5,53 @@
 //! drained by sharded worker threads, with trace compilation amortized
 //! through a [`TraceCache`](crate::cache::TraceCache) and throughput —
 //! not just latency — reported. This module provides the serving
-//! primitives and the classic drain-everything entry point:
+//! primitives the [`frontend`](crate::frontend) is built from:
 //!
-//! - [`BoundedQueue`], a bounded MPSC channel usable from both worlds:
-//!   blocking `push`/`pop` for worker threads, waker-registering
-//!   [`BoundedQueue::push_async`] / [`BoundedQueue::pop_async`] for the
-//!   async front-end;
+//! - [`BoundedQueue`], a bounded blocking MPSC channel between the
+//!   front-end's producer and its worker threads;
 //! - [`Request`], one inference request, optionally carrying a relative
 //!   latency [`Request::deadline`];
 //! - [`ServeReport`], the aggregate: requests/s, points/s, queue-latency
 //!   percentiles, the trace-cache hit rate, admission-control counters
 //!   ([`ServeReport::rejected`] / [`ServeReport::expired`]) and modeled
-//!   per-shard utilization;
-//! - [`serve`], the admit-everything configuration of the
-//!   [`frontend`](crate::frontend): every request is accepted and
-//!   drained, exactly as a batch harness wants.
+//!   per-shard utilization.
 //!
 //! Admission control, per-shard capacity modeling, and the [`Clock`]
 //! abstraction that makes all of this testable without sleeping live in
-//! [`crate::frontend`].
+//! [`crate::frontend`]; its default [`AdmissionPolicy::admit_all`]
+//! accepts and drains every request, exactly as a batch harness wants.
 //!
 //! [`Clock`]: crate::frontend::Clock
+//! [`AdmissionPolicy::admit_all`]: crate::frontend::AdmissionPolicy::admit_all
 //!
 //! ```
 //! use pointacc::{Accelerator, Engine, PointAccConfig};
-//! use pointacc_bench::serve::{serve, Request, ServeOptions};
+//! use pointacc_bench::frontend::{Frontend, FrontendOptions};
+//! use pointacc_bench::serve::Request;
 //! use pointacc_nn::zoo;
 //!
 //! let full = Accelerator::new(PointAccConfig::full());
 //! let edge = Accelerator::new(PointAccConfig::edge());
+//! let engines = [&full as &dyn Engine, &edge];
 //! let benchmarks: Vec<_> = zoo::benchmarks().into_iter().take(2).collect();
 //! let requests: Vec<Request> = (0..8).map(|i| Request::new(i % 2, 42)).collect();
-//! let report = serve(
-//!     &[&full as &dyn Engine, &edge],
+//! let report = Frontend::new(
+//!     &engines,
 //!     &benchmarks,
-//!     requests,
-//!     ServeOptions { scale: 0.02, ..ServeOptions::default() },
-//! );
+//!     FrontendOptions { scale: 0.02, ..FrontendOptions::default() },
+//! )
+//! .run(requests);
 //! assert_eq!(report.completed, 8);
 //! assert!(report.accounting_balances());
 //! assert!(report.cache.hit_rate() > 0.0);
 //! ```
 
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::{Condvar, Mutex};
-
-use crate::sync::{lock, wait};
-use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use pointacc::Engine;
-use pointacc_nn::zoo::Benchmark;
-
 use crate::cache::CacheStats;
-use crate::frontend::{AdmissionPolicy, Frontend, FrontendOptions};
+use crate::sync::{lock, wait};
 
 /// One inference request: a benchmark (index into the server's
 /// benchmark list), the dataset seed identifying the input cloud, and
@@ -90,31 +81,10 @@ impl Request {
     }
 }
 
-/// Tuning knobs of one [`serve`] run.
-#[derive(Copy, Clone, Debug)]
-pub struct ServeOptions {
-    /// Maximum queued (not yet claimed) requests per engine shard; the
-    /// producer blocks (or, on the async path, suspends) when a shard's
-    /// queue is full.
-    pub queue_capacity: usize,
-    /// Worker threads per engine shard.
-    pub workers_per_engine: usize,
-    /// Point-count scale factor of the input clouds.
-    pub scale: f64,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions { queue_capacity: 16, workers_per_engine: 1, scale: 1.0 }
-    }
-}
-
-/// A bounded MPSC queue usable from threads and futures alike: the
-/// blocking `push`/`pop` pair parks on a condvar, the `*_async` pair
-/// registers the task's waker instead. Mixed use is the intended mode —
-/// the async producer of the serving front-end pushes while blocking
-/// worker threads pop — and each pop wakes both kinds of waiters.
-/// `close` drains remaining items then ends the stream.
+/// A bounded blocking MPSC queue: `push` waits on a condvar while the
+/// queue is full, `pop` while it is empty. `close` wakes every waiter —
+/// blocked pushes return `false`, remaining items still drain, and pops
+/// return `None` once the queue is empty.
 pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     not_full: Condvar,
@@ -125,26 +95,6 @@ pub struct BoundedQueue<T> {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Tasks suspended in [`BoundedQueue::push_async`] against a full
-    /// queue, woken by `pop` / `close`.
-    push_wakers: Vec<Waker>,
-    /// Tasks suspended in [`BoundedQueue::pop_async`] against an empty
-    /// queue, woken by `push` / `close`.
-    pop_wakers: Vec<Waker>,
-}
-
-impl<T> QueueState<T> {
-    fn wake_pushers(&mut self) {
-        for w in self.push_wakers.drain(..) {
-            w.wake();
-        }
-    }
-
-    fn wake_poppers(&mut self) {
-        for w in self.pop_wakers.drain(..) {
-            w.wake();
-        }
-    }
 }
 
 impl<T> BoundedQueue<T> {
@@ -156,12 +106,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-                push_wakers: Vec::new(),
-                pop_wakers: Vec::new(),
-            }),
+            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             capacity,
@@ -169,7 +114,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Enqueues `item`, blocking while the queue is at capacity.
-    /// Returns `false` (dropping the item) if the queue was closed.
+    /// Returns `false` (dropping the item) if the queue was closed,
+    /// including while this call was blocked.
     pub fn push(&self, item: T) -> bool {
         let mut state = lock(&self.state);
         while state.items.len() >= self.capacity && !state.closed {
@@ -180,16 +126,7 @@ impl<T> BoundedQueue<T> {
         }
         state.items.push_back(item);
         self.not_empty.notify_one();
-        state.wake_poppers();
         true
-    }
-
-    /// [`BoundedQueue::push`] as a future: suspends (registering the
-    /// task's waker) instead of blocking the thread while the queue is
-    /// full. Resolves to `false`, dropping the item, if the queue was
-    /// closed.
-    pub fn push_async(&self, item: T) -> PushFuture<'_, T> {
-        PushFuture { queue: self, item: Some(item) }
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty.
@@ -199,7 +136,6 @@ impl<T> BoundedQueue<T> {
         loop {
             if let Some(item) = state.items.pop_front() {
                 self.not_full.notify_one();
-                state.wake_pushers();
                 return Some(item);
             }
             if state.closed {
@@ -209,20 +145,11 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// [`BoundedQueue::pop`] as a future: suspends instead of blocking
-    /// while the queue is empty. Resolves to `None` once the queue is
-    /// closed and drained.
-    pub fn pop_async(&self) -> PopFuture<'_, T> {
-        PopFuture { queue: self }
-    }
-
     /// Closes the queue: queued items still drain, further pushes fail,
     /// and poppers return `None` once empty.
     pub fn close(&self) {
         let mut state = lock(&self.state);
         state.closed = true;
-        state.wake_pushers();
-        state.wake_poppers();
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -238,63 +165,8 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Future returned by [`BoundedQueue::push_async`].
-pub struct PushFuture<'q, T> {
-    queue: &'q BoundedQueue<T>,
-    item: Option<T>,
-}
-
-impl<T> Unpin for PushFuture<'_, T> {}
-
-impl<T> Future for PushFuture<'_, T> {
-    type Output = bool;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let this = self.get_mut();
-        let mut state = lock(&this.queue.state);
-        if state.closed {
-            this.item = None;
-            return Poll::Ready(false);
-        }
-        if state.items.len() < this.queue.capacity {
-            let item = this.item.take().expect("push future polled after completion");
-            state.items.push_back(item);
-            this.queue.not_empty.notify_one();
-            state.wake_poppers();
-            return Poll::Ready(true);
-        }
-        state.push_wakers.push(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-/// Future returned by [`BoundedQueue::pop_async`].
-pub struct PopFuture<'q, T> {
-    queue: &'q BoundedQueue<T>,
-}
-
-impl<T> Unpin for PopFuture<'_, T> {}
-
-impl<T> Future for PopFuture<'_, T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut state = lock(&self.queue.state);
-        if let Some(item) = state.items.pop_front() {
-            self.queue.not_full.notify_one();
-            state.wake_pushers();
-            return Poll::Ready(Some(item));
-        }
-        if state.closed {
-            return Poll::Ready(None);
-        }
-        state.pop_wakers.push(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-/// Aggregate statistics of one serving run ([`serve`] or
-/// [`Frontend::run`](crate::frontend::Frontend::run)).
+/// Aggregate statistics of one serving run
+/// ([`Frontend::run`](crate::frontend::Frontend::run) and its variants).
 #[derive(Clone, Debug)]
 pub struct ServeReport {
     /// Requests pulled from the request stream, whatever their fate.
@@ -315,8 +187,8 @@ pub struct ServeReport {
     /// Requests shed by admission control
     /// ([`Rejected::Overloaded`](crate::frontend::Rejected::Overloaded)):
     /// the modeled queueing delay exceeded the policy's bound, so the
-    /// request was never enqueued. Always 0 under [`serve`], which
-    /// admits everything.
+    /// request was never enqueued. Always 0 under
+    /// [`AdmissionPolicy::admit_all`](crate::frontend::AdmissionPolicy::admit_all).
     pub rejected: usize,
     /// Requests whose deadline could not be met — either the modeled
     /// sojourn time already exceeded the budget at admission, or the
@@ -381,48 +253,6 @@ impl ServeReport {
 /// How many failed-request messages [`ServeReport::failures`] retains.
 pub const MAX_FAILURE_SAMPLES: usize = 16;
 
-/// Drains `requests` through per-shard bounded queues fanned out to
-/// `options.workers_per_engine` workers per engine shard, amortizing
-/// trace compilation through a run-private
-/// [`TraceCache`](crate::cache::TraceCache).
-///
-/// This is the admit-everything configuration of the
-/// [`Frontend`](crate::frontend::Frontend): no request is ever shed
-/// ([`ServeReport::rejected`] is always 0) and requests without
-/// deadlines never expire. Invalid requests — an out-of-range benchmark
-/// index, or a benchmark whose trace cannot be built
-/// ([`crate::TraceBuildError`]) — are counted into
-/// [`ServeReport::failed`] with the message sampled in
-/// [`ServeReport::failures`]; the worker keeps draining the queue.
-/// Unsupported (engine, benchmark) combinations are counted, not
-/// evaluated.
-///
-/// # Panics
-///
-/// Panics when `engines` or `benchmarks` is empty.
-pub fn serve(
-    engines: &[&dyn Engine],
-    benchmarks: &[Benchmark],
-    requests: impl IntoIterator<Item = Request>,
-    options: ServeOptions,
-) -> ServeReport {
-    let options = FrontendOptions {
-        queue_capacity: options.queue_capacity,
-        // `serve` predates zero-worker semantics: it always drains.
-        workers_per_engine: options.workers_per_engine.max(1),
-        scale: options.scale,
-        policy: AdmissionPolicy::admit_all(),
-        capacities: None,
-        artifact_dir: crate::artifact_dir(),
-        // Retain cached failures: `serve` is a batch harness whose
-        // hit/miss accounting treats a deterministic failure as paid
-        // for once; serving layers that need transient-fault recovery
-        // use the `Frontend` directly (it defaults to retry).
-        failure_policy: crate::cache::FailurePolicy::Retain,
-    };
-    Frontend::new(engines, benchmarks, options).run(requests)
-}
-
 /// Nearest-rank percentile of sorted durations; zero for an empty set.
 pub(crate) fn percentile(sorted: &[Duration], pct: f64) -> Duration {
     if sorted.is_empty() {
@@ -435,7 +265,9 @@ pub(crate) fn percentile(sorted: &[Duration], pct: f64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pointacc::{Accelerator, PointAccConfig};
+    use crate::cache::{FailurePolicy, TraceCache};
+    use crate::frontend::{Frontend, FrontendOptions, WallClock};
+    use pointacc::{Accelerator, Engine, PointAccConfig};
     use pointacc_baselines::Mesorasi;
     use pointacc_nn::zoo;
 
@@ -465,49 +297,25 @@ mod tests {
     }
 
     #[test]
-    fn async_pushes_suspend_until_threaded_pops_make_room() {
-        // The serving front-end's exact mix: an async producer pushing
-        // through a full queue drained by a blocking consumer thread.
+    fn close_releases_a_push_blocked_on_a_full_queue() {
+        // The producer's contract with dying workers: a push blocked on
+        // a full queue returns `false` once another thread closes it.
         let queue: BoundedQueue<u32> = BoundedQueue::new(2);
+        assert!(queue.push(0));
+        assert!(queue.push(1));
         std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| {
-                let mut got = Vec::new();
-                while let Some(i) = queue.pop() {
-                    got.push(i);
-                }
-                got
-            });
-            futures::executor::block_on(async {
-                for i in 0..64 {
-                    assert!(queue.push_async(i).await);
-                }
-            });
+            let blocked = scope.spawn(|| queue.push(2));
+            // A full, open queue never lets the push return; give the
+            // thread time to reach its condvar wait before closing.
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!blocked.is_finished(), "push must block on a full queue");
             queue.close();
-            assert_eq!(consumer.join().unwrap(), (0..64).collect::<Vec<_>>());
+            assert!(!blocked.join().unwrap(), "close must fail the blocked push");
         });
-        // Closed queue: the future resolves to false without suspending.
-        assert!(!futures::executor::block_on(queue.push_async(99)));
-    }
-
-    #[test]
-    fn async_pops_drain_and_observe_close() {
-        let queue: BoundedQueue<u32> = BoundedQueue::new(4);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for i in 0..16 {
-                    assert!(queue.push(i));
-                }
-                queue.close();
-            });
-            let got = futures::executor::block_on(async {
-                let mut got = Vec::new();
-                while let Some(i) = queue.pop_async().await {
-                    got.push(i);
-                }
-                got
-            });
-            assert_eq!(got, (0..16).collect::<Vec<_>>());
-        });
+        // Items queued before the close still drain, then the stream ends.
+        assert_eq!(queue.pop(), Some(0));
+        assert_eq!(queue.pop(), Some(1));
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]
@@ -532,17 +340,19 @@ mod tests {
             .flat_map(|_| (0..2).flat_map(|b| [1, 2].map(|seed| Request::new(b, seed))))
             .collect();
         let n = requests.len();
-        let report = serve(
-            &[&full as &dyn Engine, &edge],
-            &benchmarks,
-            requests,
-            ServeOptions { queue_capacity: 4, workers_per_engine: 2, scale: 0.05 },
-        );
+        let options = FrontendOptions {
+            queue_capacity: 4,
+            workers_per_engine: 2,
+            scale: 0.05,
+            ..FrontendOptions::default()
+        };
+        let report =
+            Frontend::new(&[&full as &dyn Engine, &edge], &benchmarks, options).run(requests);
         assert_eq!(report.submitted, n);
         assert_eq!(report.completed, n);
         assert_eq!(report.unsupported, 0);
         assert_eq!(report.failed, 0);
-        assert_eq!(report.rejected, 0, "serve admits everything");
+        assert_eq!(report.rejected, 0, "admit-all admits everything");
         assert_eq!(report.expired, 0, "no request carried a deadline");
         assert!(report.accounting_balances());
         assert!(report.failures.is_empty());
@@ -596,15 +406,12 @@ mod tests {
         let benchmarks: Vec<_> =
             zoo::benchmarks().into_iter().filter(|b| b.notation == "PointNet").collect();
         // More requests than queue capacity: without close-on-panic the
-        // producer would suspend forever against a full queue no worker
+        // producer would block forever against a full queue no worker
         // drains; with it, the scope join rethrows the worker's panic.
         let requests = (0..32).map(|_| Request::new(0, 42));
-        let _ = serve(
-            &[&engine as &dyn Engine],
-            &benchmarks,
-            requests,
-            ServeOptions { queue_capacity: 2, scale: 0.05, ..ServeOptions::default() },
-        );
+        let options =
+            FrontendOptions { queue_capacity: 2, scale: 0.05, ..FrontendOptions::default() };
+        let _ = Frontend::new(&[&engine as &dyn Engine], &benchmarks, options).run(requests);
     }
 
     #[test]
@@ -630,11 +437,14 @@ mod tests {
         let requests: Vec<Request> = (0..8)
             .flat_map(|i| [Request::new(0, 42), Request::new(99, i), Request::new(1, 42)])
             .collect();
-        let report = serve(
-            &[&full as &dyn Engine],
-            &benchmarks,
+        // Retain cached failures so the unbuildable key is paid for once.
+        let cache = TraceCache::new().with_failure_policy(FailurePolicy::Retain);
+        let options =
+            FrontendOptions { queue_capacity: 2, scale: 0.05, ..FrontendOptions::default() };
+        let report = Frontend::new(&[&full as &dyn Engine], &benchmarks, options).run_on_cache(
+            &WallClock::new(),
+            &cache,
             requests,
-            ServeOptions { queue_capacity: 2, scale: 0.05, ..ServeOptions::default() },
         );
         assert_eq!(report.submitted, 24);
         assert_eq!(report.completed, 8, "valid requests still complete");
@@ -664,12 +474,8 @@ mod tests {
         let minknet: Vec<_> =
             zoo::benchmarks().into_iter().filter(|b| b.notation == "MinkNet(i)").collect();
         let requests = (0..4).map(|_| Request::new(0, 42));
-        let report = serve(
-            &[&mesorasi as &dyn Engine],
-            &minknet,
-            requests,
-            ServeOptions { scale: 0.05, ..ServeOptions::default() },
-        );
+        let options = FrontendOptions { scale: 0.05, ..FrontendOptions::default() };
+        let report = Frontend::new(&[&mesorasi as &dyn Engine], &minknet, options).run(requests);
         assert_eq!(report.completed, 0);
         assert_eq!(report.unsupported, 4);
         assert_eq!(report.points, 0);

@@ -204,7 +204,7 @@ impl Accelerator {
         trace: &NetworkTrace,
         fusion: &FusionPlan,
         opts: RunOptions,
-    ) -> (u64, Option<crate::mmu::CacheStats>, Option<usize>, bool) {
+    ) -> (u64, Option<crate::mmu::FeatureCacheStats>, Option<usize>, bool) {
         // Fusion-group members (dense FCs, grouped shared-MLP layers and
         // inline pools) keep their activations on the MIR stack; only the
         // group head touches DRAM for activations.

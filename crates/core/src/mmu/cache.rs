@@ -37,7 +37,7 @@ impl CacheConfig {
 
 /// Access-level results of a cache simulation.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
+pub struct FeatureCacheStats {
     /// Total feature-row accesses.
     pub accesses: u64,
     /// Hits.
@@ -48,7 +48,7 @@ pub struct CacheStats {
     pub dram_bytes: u64,
 }
 
-impl CacheStats {
+impl FeatureCacheStats {
     /// Miss rate in [0, 1].
     pub fn miss_rate(&self) -> f64 {
         if self.accesses == 0 {
@@ -64,7 +64,7 @@ impl CacheStats {
 pub struct FeatureCache {
     cfg: CacheConfig,
     tags: MirContainer,
-    stats: CacheStats,
+    stats: FeatureCacheStats,
 }
 
 impl FeatureCache {
@@ -79,7 +79,7 @@ impl FeatureCache {
         FeatureCache {
             cfg,
             tags: MirContainer::new(MirMode::TagArray, cfg.n_blocks(), cfg.capacity_bytes),
-            stats: CacheStats::default(),
+            stats: FeatureCacheStats::default(),
         }
     }
 
@@ -107,7 +107,7 @@ impl FeatureCache {
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
+    pub fn stats(&self) -> FeatureCacheStats {
         self.stats
     }
 }
@@ -139,7 +139,7 @@ pub fn simulate_sparse_accesses(
     maps: &MapTable,
     plan: SparseAccessPlan,
     sample_limit: Option<u64>,
-) -> CacheStats {
+) -> FeatureCacheStats {
     let mut cache = FeatureCache::new(cfg);
     let n_out = maps.outputs().iter().max().map_or(0, |&m| m as usize + 1);
     let tile_pts = plan.out_tile_points.max(1);

@@ -12,7 +12,7 @@
 
 use pointacc_nn::{ComputeKind, LayerTrace};
 
-use super::cache::{simulate_sparse_accesses, CacheConfig, CacheStats, SparseAccessPlan};
+use super::cache::{simulate_sparse_accesses, CacheConfig, FeatureCacheStats, SparseAccessPlan};
 
 /// DRAM traffic of one layer, split by stream.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub fn sparse_layer_traffic(
     layer: &LayerTrace,
     plan: SparseAccessPlan,
     elem_bytes: usize,
-) -> (LayerTraffic, Option<CacheStats>) {
+) -> (LayerTraffic, Option<FeatureCacheStats>) {
     let maps = layer.maps.as_ref().expect("sparse layer traffic requires a map table");
     let n_maps = maps.len() as u64;
     let e = elem_bytes as u64;

@@ -16,7 +16,7 @@ pub mod fusion;
 pub mod mir;
 
 pub use cache::{
-    simulate_sparse_accesses, CacheConfig, CacheStats, FeatureCache, SparseAccessPlan,
+    simulate_sparse_accesses, CacheConfig, FeatureCache, FeatureCacheStats, SparseAccessPlan,
 };
 pub use flows::{dense_layer_traffic, sparse_layer_traffic, Flow, LayerTraffic};
 pub use fusion::{

@@ -115,22 +115,9 @@ impl Mpu {
 
     /// Closed-form FPS cycle estimate for the dense sweep (every
     /// iteration streams all `n` points). This is the modeled cost the
-    /// golden speedup/energy snapshots are locked to; the pruned
-    /// variant below tracks the indexed backend's actual work.
+    /// golden speedup/energy snapshots are locked to.
     pub fn fps_cycles_estimate(&self, n: usize, m: usize) -> u64 {
         (m.saturating_sub(1) as u64) * ((n as u64).div_ceil(self.width as u64) + 2)
-    }
-
-    /// FPS cycle estimate for the **bucket-pruned** exact sweep: the
-    /// per-iteration pipeline bubble is unchanged (2 cycles × (m − 1)),
-    /// but only `scanned` candidate points stream through the distance
-    /// lanes — the work count `pointacc_geom::index::FpsWork::scanned`
-    /// reports from a pruned run. With `scanned = n·(m − 1)` (nothing
-    /// pruned) this is bounded above by [`Mpu::fps_cycles_estimate`],
-    /// since the dense form rounds each iteration's lane passes up
-    /// separately.
-    pub fn fps_cycles_estimate_pruned(&self, scanned: u64, m: usize) -> u64 {
-        (m.saturating_sub(1) as u64) * 2 + scanned.div_ceil(self.width as u64)
     }
 
     // ------------------------------------------------------------------
@@ -402,30 +389,6 @@ mod tests {
             assert_eq!(got, want, "n={n} m={m}");
             assert_eq!(stats.cycles, mpu.fps_cycles_estimate(n, m));
         }
-    }
-
-    #[test]
-    fn pruned_fps_estimate_tracks_measured_work_and_never_exceeds_dense() {
-        use pointacc_geom::index::fps_pruned;
-        let mpu = Mpu::new(16);
-        for (n, m) in [(512usize, 64usize), (2048, 300), (4096, 17)] {
-            let pts = pseudo_points(n, n as u64 | 3);
-            let (sel, work) = fps_pruned(&pts, m);
-            // The pruned sweep selects exactly what the dense model does…
-            assert_eq!(sel, golden::farthest_point_sampling(&pts, m), "n={n} m={m}");
-            // …while its modeled cycles track the measured scan count and
-            // are bounded by the dense estimate the snapshots lock.
-            let pruned = mpu.fps_cycles_estimate_pruned(work.scanned, m);
-            assert!(pruned > 0, "n={n} m={m}");
-            assert!(
-                pruned <= mpu.fps_cycles_estimate(n, m),
-                "n={n} m={m}: pruned {pruned} exceeds dense {}",
-                mpu.fps_cycles_estimate(n, m)
-            );
-        }
-        // No pruning (scanned == n·(m−1)) still never exceeds dense:
-        // ⌈a+b⌉-style rounding keeps the dense form an upper bound.
-        assert!(mpu.fps_cycles_estimate_pruned(100 * 9, 10) <= mpu.fps_cycles_estimate(100, 10));
     }
 
     #[test]

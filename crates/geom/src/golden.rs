@@ -183,20 +183,6 @@ pub fn neighbors_to_maps(neighbors: &[Vec<usize>]) -> MapTable {
     MapTable::from_entries(entries, 1)
 }
 
-/// Converts per-query neighbor lists into a *positional* map table where
-/// the weight index is the neighbor rank (0..k). Used by convolutions that
-/// apply a different weight per neighbor rank (e.g. PointCNN-style).
-pub fn neighbors_to_ranked_maps(neighbors: &[Vec<usize>], k: usize) -> MapTable {
-    let entries = neighbors
-        .iter()
-        .enumerate()
-        .flat_map(|(q, ns)| {
-            ns.iter().enumerate().map(move |(r, &p)| MapEntry::new(p as u32, q as u32, r as u16))
-        })
-        .collect();
-    MapTable::from_entries(entries, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,8 +319,5 @@ mod tests {
         let shared = neighbors_to_maps(&nbrs);
         assert_eq!(shared.n_weights(), 1);
         assert_eq!(shared.len(), 3);
-        let ranked = neighbors_to_ranked_maps(&nbrs, 2);
-        assert_eq!(ranked.n_weights(), 2);
-        assert_eq!(ranked.group(1).iter().collect::<Vec<_>>(), vec![MapEntry::new(2, 0, 1)]);
     }
 }

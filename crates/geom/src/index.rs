@@ -1580,8 +1580,8 @@ impl FpsTile {
     }
 }
 
-/// Work accounting from one pruned-FPS run, for the MPU cycle model
-/// (`Mpu::fps_cycles_estimate_pruned`) and the bench trajectory.
+/// Work accounting from one pruned-FPS run: how many of the dense
+/// sweep's distance evaluations the tile bound left to do.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FpsWork {
     /// Candidate points whose distance to a selected point was actually

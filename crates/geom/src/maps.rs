@@ -352,18 +352,6 @@ impl MapTable {
         v.sort_by_key(|e| (e.weight, e.output, e.input));
         v
     }
-
-    /// Average number of times each distinct input point is referenced
-    /// (feature-reuse factor; drives the cache hit rate of Fig. 18).
-    pub fn input_reuse(&self) -> f64 {
-        if self.inputs.is_empty() {
-            return 0.0;
-        }
-        let mut inputs = self.inputs.clone();
-        inputs.sort_unstable();
-        inputs.dedup();
-        self.inputs.len() as f64 / inputs.len() as f64
-    }
 }
 
 /// Why a `(table, geometry)` pair cannot form a valid [`KernelMap`]
@@ -742,15 +730,6 @@ mod tests {
         assert!(tt.group(0).iter().any(|e| e == MapEntry::new(1, 0, 0)));
         // Transposing twice is the identity.
         assert_eq!(tt.transpose().canonicalized(), t.canonicalized());
-    }
-
-    #[test]
-    fn input_reuse_counts_duplicates() {
-        let t = MapTable::from_entries(
-            vec![MapEntry::new(0, 0, 0), MapEntry::new(0, 1, 0), MapEntry::new(1, 1, 0)],
-            1,
-        );
-        assert!((t.input_reuse() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -96,7 +96,6 @@ fn run_frozen(
             // Property runs must not pick up a disk tier from the test
             // runner's environment.
             artifact_dir: None,
-            ..FrontendOptions::default()
         },
     );
     let clock = SimClock::new();

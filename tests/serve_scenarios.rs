@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use pointacc::{Engine, EngineReport, Seconds};
 use pointacc_bench::frontend::{AdmissionPolicy, Clock, Frontend, FrontendOptions, SimClock};
-use pointacc_bench::serve::{serve, Request, ServeOptions};
+use pointacc_bench::serve::Request;
 use pointacc_nn::zoo::{self, Benchmark};
 use pointacc_nn::NetworkTrace;
 use pointacc_sim::PicoJoules;
@@ -109,7 +109,6 @@ fn options(capacities: Vec<f64>, policy: AdmissionPolicy) -> FrontendOptions {
         // Scenario determinism: no disk tier regardless of the test
         // runner's environment.
         artifact_dir: None,
-        ..FrontendOptions::default()
     }
 }
 
@@ -384,12 +383,6 @@ fn zero_requests_yield_a_clean_empty_report() {
     assert_eq!(report.cache.hits + report.cache.misses, 0);
     assert_eq!(report.utilization_per_shard, vec![("Const".to_string(), 0.0)]);
     assert_eq!(engine.evals(), 0);
-
-    // The classic entry point agrees (wall-clock, admit-everything).
-    let report =
-        serve(&engines, &benchmarks, [], ServeOptions { scale: SCALE, ..Default::default() });
-    assert_eq!(report.submitted, 0);
-    assert!(report.accounting_balances());
 }
 
 #[test]
