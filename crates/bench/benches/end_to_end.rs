@@ -27,16 +27,26 @@ fn bench_accelerator_replay(c: &mut Criterion) {
     let edge = Accelerator::new(PointAccConfig::edge());
     // Wall-clock replay rate (host-dependent)…
     g.throughput(Throughput::Elements(trace.input_points() as u64));
+    // …of a repeated trace: after the warm-up call each accelerator
+    // reuses its remembered block-size choices (memo-hit replay)…
     g.bench_function("mini_minkunet_full", |b| b.iter(|| full.run(&trace)));
     g.bench_function("mini_minkunet_edge", |b| b.iter(|| edge.run(&trace)));
-    // …next to the simulated throughput the replay models
+    // …and of a first touch: a fresh accelerator per iteration runs the
+    // per-layer block-size search as well.
+    g.bench_function("mini_minkunet_full_first_touch", |b| {
+        b.iter(|| Accelerator::new(PointAccConfig::full()).run(&trace))
+    });
+    g.bench_function("mini_minkunet_edge_first_touch", |b| {
+        b.iter(|| Accelerator::new(PointAccConfig::edge()).run(&trace))
+    });
+    // Next to them, the simulated throughput the replay models
     // (host-independent: the stable metric for perf PRs).
     for engine in [&full as &dyn Engine, &edge] {
         let report = engine.evaluate(&trace);
         g.report_metric(
             BenchmarkId::new("modeled", engine.name()),
             report.points_per_s(trace.input_points()),
-            "points/s",
+            "points/s (modeled)",
         );
     }
     g.finish();

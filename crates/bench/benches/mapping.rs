@@ -93,7 +93,7 @@ fn main() {
         g.report_metric(
             BenchmarkId::new(name, "indexed_speedup"),
             golden_s / indexed_s.max(1e-12),
-            "x",
+            "x (wall-clock)",
         );
     }
 
@@ -107,7 +107,7 @@ fn main() {
     let mut modeled = Vec::new();
     for engine in [&full as &dyn Engine, &edge] {
         let pps = engine.evaluate(&trace).points_per_s(trace.input_points());
-        g.report_metric(BenchmarkId::new(engine.name(), bench.notation), pps, "points/s");
+        g.report_metric(BenchmarkId::new(engine.name(), bench.notation), pps, "points/s (modeled)");
         modeled.push((engine.name().to_string(), pps));
     }
     g.finish();

@@ -38,7 +38,7 @@ fn bench_modeled_throughput(c: &mut Criterion) {
             g.report_metric(
                 BenchmarkId::new(engine.name(), bench.notation),
                 report.points_per_s(trace.input_points()),
-                "points/s",
+                "points/s (modeled)",
             );
         }
     }

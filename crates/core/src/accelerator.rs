@@ -2,6 +2,9 @@
 //! cache block sizes) and replays it through the MPU / MMU / MXU models,
 //! producing a [`RunReport`].
 
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use pointacc_nn::{ComputeKind, LayerTrace, NetworkTrace};
 use pointacc_sim::{Cycles, DramChannel, EnergyTable, PicoJoules, SramSpec};
 
@@ -22,7 +25,11 @@ pub enum CachePolicy {
     /// Fixed block size in points.
     Fixed(usize),
     /// Per-layer block-size search on a sampled access stream (the
-    /// compiler's behaviour, paper §4.2.3).
+    /// compiler's behaviour, paper §4.2.3). Like the offline compiler,
+    /// an [`Accelerator`] searches once per (trace, config): it keeps
+    /// the chosen block sizes of the traces it replayed, keyed by
+    /// [`NetworkTrace::fingerprint`], and later runs of the same trace
+    /// reuse them. A fresh `Accelerator` always searches.
     Search,
 }
 
@@ -49,7 +56,102 @@ const BLOCK_CANDIDATES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 /// Accesses sampled per candidate during block-size search.
 const SEARCH_SAMPLE: u64 = 50_000;
 
+/// Traces whose block choices one [`Accelerator`] remembers; storing
+/// one more evicts the oldest.
+const BLOCK_MEMO_TRACES: usize = 256;
+
+/// Block sizes [`CachePolicy::Search`] chose, per layer of each trace an
+/// accelerator replayed. The search depends only on the layer and the
+/// configuration, and an accelerator has one configuration, so the
+/// trace fingerprint is the whole key.
+#[derive(Debug, Default)]
+struct BlockMemo {
+    traces: HashMap<u64, Vec<Option<usize>>>,
+    /// Insertion order, oldest first.
+    order: VecDeque<u64>,
+}
+
+impl BlockMemo {
+    /// The remembered choices for a trace of `n_layers` layers, `None`
+    /// where no run has searched that layer yet.
+    fn get(&self, fingerprint: u64, n_layers: usize) -> Vec<Option<usize>> {
+        match self.traces.get(&fingerprint) {
+            Some(blocks) if blocks.len() == n_layers => blocks.clone(),
+            _ => vec![None; n_layers],
+        }
+    }
+
+    /// Stores a run's choices, keeping any a concurrent run of the same
+    /// trace stored meanwhile.
+    fn store(&mut self, fingerprint: u64, blocks: Vec<Option<usize>>) {
+        match self.traces.get_mut(&fingerprint) {
+            Some(known) if known.len() == blocks.len() => {
+                for (k, b) in known.iter_mut().zip(blocks) {
+                    *k = k.or(b);
+                }
+            }
+            Some(known) => *known = blocks,
+            None => {
+                if self.order.len() == BLOCK_MEMO_TRACES {
+                    if let Some(oldest) = self.order.pop_front() {
+                        self.traces.remove(&oldest);
+                    }
+                }
+                self.order.push_back(fingerprint);
+                self.traces.insert(fingerprint, blocks);
+            }
+        }
+    }
+}
+
+/// One run's block choices: read from the memo at the first searched
+/// layer, so runs that never search never hash the trace.
+struct RunBlocks<'t> {
+    trace: &'t NetworkTrace,
+    /// Fingerprint and per-layer choices, once loaded.
+    loaded: Option<(u64, Vec<Option<usize>>)>,
+    /// Whether this run searched a layer the memo lacked.
+    searched: bool,
+}
+
+impl<'t> RunBlocks<'t> {
+    fn new(trace: &'t NetworkTrace) -> Self {
+        RunBlocks { trace, loaded: None, searched: false }
+    }
+
+    /// The block size of layer `index`: remembered, or found by `search`.
+    fn block(
+        &mut self,
+        memo: &Mutex<BlockMemo>,
+        index: usize,
+        search: impl FnOnce() -> usize,
+    ) -> usize {
+        let (_, blocks) = self.loaded.get_or_insert_with(|| {
+            let fingerprint = self.trace.fingerprint();
+            let blocks = lock(memo).get(fingerprint, self.trace.layers.len());
+            (fingerprint, blocks)
+        });
+        *blocks[index].get_or_insert_with(|| {
+            self.searched = true;
+            search()
+        })
+    }
+
+    /// Hands this run's new choices to the memo.
+    fn store(self, memo: &Mutex<BlockMemo>) {
+        if let (true, Some((fingerprint, blocks))) = (self.searched, self.loaded) {
+            lock(memo).store(fingerprint, blocks);
+        }
+    }
+}
+
+fn lock(memo: &Mutex<BlockMemo>) -> MutexGuard<'_, BlockMemo> {
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The accelerator model.
+///
+/// Clones share the memo of [`CachePolicy::Search`] block choices.
 ///
 /// # Examples
 ///
@@ -71,6 +173,7 @@ pub struct Accelerator {
     mpu: Mpu,
     mxu: Mxu,
     energy: EnergyTable,
+    blocks: Arc<Mutex<BlockMemo>>,
 }
 
 impl Accelerator {
@@ -78,7 +181,7 @@ impl Accelerator {
     pub fn new(cfg: PointAccConfig) -> Self {
         let mpu = Mpu::new(cfg.merger_width);
         let mxu = Mxu::new(cfg.pe_rows, cfg.pe_cols);
-        Accelerator { cfg, mpu, mxu, energy: EnergyTable::tsmc40() }
+        Accelerator { cfg, mpu, mxu, energy: EnergyTable::tsmc40(), blocks: Arc::default() }
     }
 
     /// The configuration.
@@ -112,12 +215,14 @@ impl Accelerator {
         } else {
             FusionPlan::default()
         };
+        let mut blocks = RunBlocks::new(trace);
         let layers = trace
             .layers
             .iter()
             .enumerate()
-            .map(|(i, l)| self.run_layer(i, l, trace, &fusion, opts))
+            .map(|(i, l)| self.run_layer(i, l, trace, &fusion, opts, &mut blocks))
             .collect();
+        blocks.store(&self.blocks);
         RunReport {
             config: self.cfg.name.clone(),
             network: trace.network.clone(),
@@ -133,11 +238,12 @@ impl Accelerator {
         trace: &NetworkTrace,
         fusion: &FusionPlan,
         opts: RunOptions,
+        blocks: &mut RunBlocks<'_>,
     ) -> LayerPerf {
         let mpu_cycles = self.mapping_cycles(layer);
         let mxu_cycles = self.mxu.layer_cycles(layer);
         let (dram_bytes, cache_stats, cache_block, fused) =
-            self.layer_dram(index, layer, trace, fusion, opts);
+            self.layer_dram(index, layer, trace, fusion, opts, blocks);
 
         let mut channel = DramChannel::new(self.cfg.dram);
         channel.read(dram_bytes);
@@ -204,18 +310,20 @@ impl Accelerator {
         trace: &NetworkTrace,
         fusion: &FusionPlan,
         opts: RunOptions,
+        blocks: &mut RunBlocks<'_>,
     ) -> (u64, Option<crate::mmu::FeatureCacheStats>, Option<usize>, bool) {
         // Fusion-group members (dense FCs, grouped shared-MLP layers and
         // inline pools) keep their activations on the MIR stack; only the
         // group head touches DRAM for activations.
         if let Some(group) = fusion.group_of(index) {
             let weights = layer.weight_bytes(self.cfg.elem_bytes);
-            let act = if fusion.is_group_head(index) {
-                let chain: Vec<LayerTrace> =
-                    group.layers.iter().map(|&j| trace.layers[j].clone()).collect();
-                fused_activation_bytes(&chain, self.cfg.elem_bytes)
-            } else {
-                0
+            let act = match group.layers.last() {
+                // Groups are runs of consecutive layers, so the chain is
+                // a slice of the trace.
+                Some(&last) if fusion.is_group_head(index) => {
+                    fused_activation_bytes(&trace.layers[index..=last], self.cfg.elem_bytes)
+                }
+                _ => 0,
             };
             return (weights + act, None, None, true);
         }
@@ -244,7 +352,11 @@ impl Accelerator {
                 let cache_cfg = match opts.cache {
                     CachePolicy::Off => None,
                     CachePolicy::Fixed(bp) => Some(self.cache_config(layer, bp)),
-                    CachePolicy::Search => Some(self.search_block_size(layer, plan)),
+                    CachePolicy::Search => {
+                        let bp = blocks
+                            .block(&self.blocks, index, || self.search_block_size(layer, plan));
+                        Some(self.cache_config(layer, bp))
+                    }
                 };
                 let block = cache_cfg.map(|c| c.block_points);
                 let (t, stats) = sparse_layer_traffic(
@@ -285,13 +397,14 @@ impl Accelerator {
     }
 
     /// Compiler block-size search: simulate a sample of the access stream
-    /// per candidate and keep the one moving the fewest DRAM bytes.
-    fn search_block_size(&self, layer: &LayerTrace, plan: SparseAccessPlan) -> CacheConfig {
+    /// per candidate and return the block size (points) moving the fewest
+    /// DRAM bytes.
+    fn search_block_size(&self, layer: &LayerTrace, plan: SparseAccessPlan) -> usize {
         let maps = match &layer.maps {
             Some(m) if !m.is_empty() => m,
-            _ => return self.cache_config(layer, 32),
+            _ => return 32,
         };
-        let mut best = self.cache_config(layer, BLOCK_CANDIDATES[0]);
+        let mut best = BLOCK_CANDIDATES[0];
         let mut best_bytes = u64::MAX;
         for &bp in &BLOCK_CANDIDATES {
             let cfg = self.cache_config(layer, bp);
@@ -300,7 +413,7 @@ impl Accelerator {
             let bytes = stats.dram_bytes * 1_000 / stats.accesses.max(1);
             if bytes < best_bytes {
                 best_bytes = bytes;
-                best = cfg;
+                best = bp;
             }
         }
         best
@@ -330,8 +443,8 @@ impl Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pointacc_geom::{Point3, PointSet};
-    use pointacc_nn::{zoo, ExecMode, Executor};
+    use pointacc_geom::{MapEntry, MapTable, Point3, PointSet};
+    use pointacc_nn::{zoo, Aggregation, ExecMode, Executor};
 
     fn trace(n: usize) -> NetworkTrace {
         let pts: PointSet = (0..n)
@@ -414,5 +527,94 @@ mod tests {
         let (m, x, d) = report.latency_breakdown();
         assert!(m >= 0.0 && x > 0.0 && d >= 0.0);
         assert!((m + x + d - 1.0).abs() < 1e-9);
+    }
+
+    /// A one-layer sparse trace whose fingerprint varies with `i`.
+    fn sparse_trace(i: u32) -> NetworkTrace {
+        let entries = (0..64).map(|q| MapEntry::new(q * 7 + i, q, (q % 3) as u16)).collect();
+        let layer = LayerTrace {
+            name: "conv".into(),
+            compute: ComputeKind::SparseConv,
+            n_in: 1024,
+            n_out: 64,
+            in_ch: 16,
+            out_ch: 32,
+            maps: Some(MapTable::from_entries(entries, 3)),
+            mapping: Vec::new(),
+            aggregation: Aggregation::Sum,
+            pool_group: None,
+            fusable: false,
+        };
+        NetworkTrace { network: "sparse".into(), input_desc: String::new(), layers: vec![layer] }
+    }
+
+    fn memo_len(acc: &Accelerator) -> usize {
+        lock(&acc.blocks).traces.len()
+    }
+
+    #[test]
+    fn repeated_runs_reuse_the_search_bit_identically() {
+        let t = trace(500);
+        let unfused = RunOptions { fusion: false, ..RunOptions::default() };
+        for cfg in [PointAccConfig::full(), PointAccConfig::edge()] {
+            let acc = Accelerator::new(cfg.clone());
+            let first = format!("{:?}", acc.run(&t));
+            assert_eq!(memo_len(&acc), 1);
+            let again = format!("{:?}", acc.run(&t));
+            let fresh = format!("{:?}", Accelerator::new(cfg.clone()).run(&t));
+            assert_eq!(first, again);
+            assert_eq!(first, fresh);
+            // Unfused runs search layers a fused run skips; the memo
+            // keeps both sets of choices under the one trace.
+            let unfused_first = format!("{:?}", acc.run_with(&t, unfused));
+            let unfused_fresh = format!("{:?}", Accelerator::new(cfg).run_with(&t, unfused));
+            assert_eq!(unfused_first, unfused_fresh);
+            assert_eq!(format!("{:?}", acc.clone().run(&t)), first);
+            assert_eq!(memo_len(&acc), 1);
+        }
+    }
+
+    #[test]
+    fn memo_keeps_at_most_its_capacity_evicting_the_oldest() {
+        let acc = Accelerator::new(PointAccConfig::edge());
+        let n = BLOCK_MEMO_TRACES as u32 + 8;
+        for i in 0..n {
+            acc.run(&sparse_trace(i));
+            assert!(memo_len(&acc) <= BLOCK_MEMO_TRACES);
+        }
+        assert_eq!(memo_len(&acc), BLOCK_MEMO_TRACES);
+        let memo = lock(&acc.blocks);
+        assert!(!memo.traces.contains_key(&sparse_trace(0).fingerprint()));
+        assert!(memo.traces.contains_key(&sparse_trace(n - 1).fingerprint()));
+    }
+
+    #[test]
+    fn only_the_search_policy_reads_or_fills_the_memo() {
+        let t = trace(400);
+        let others = [
+            RunOptions { cache: CachePolicy::Fixed(16), ..RunOptions::default() },
+            RunOptions { cache: CachePolicy::Off, ..RunOptions::default() },
+            RunOptions { gather_scatter_flow: true, ..RunOptions::default() },
+        ];
+        let acc = Accelerator::new(PointAccConfig::edge());
+        for opts in others {
+            acc.run_with(&t, opts);
+        }
+        assert_eq!(memo_len(&acc), 0, "non-search runs must not fill the memo");
+        // Plant a block choice the search would not make: runs that must
+        // not read the memo stay equal to a fresh accelerator's.
+        let planted = vec![Some(BLOCK_CANDIDATES[0]); t.layers.len()];
+        lock(&acc.blocks).store(t.fingerprint(), planted);
+        let fresh = Accelerator::new(PointAccConfig::edge());
+        for opts in others {
+            let (a, b) = (acc.run_with(&t, opts), fresh.run_with(&t, opts));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+        // …while a search run takes the planted choice.
+        let searched = acc.run(&t);
+        let blocks: Vec<_> = searched.layers.iter().filter_map(|l| l.cache_block_points).collect();
+        assert!(!blocks.is_empty());
+        assert!(blocks.iter().all(|&bp| bp == BLOCK_CANDIDATES[0]));
+        assert_ne!(format!("{searched:?}"), format!("{:?}", fresh.run(&t)));
     }
 }

@@ -57,6 +57,24 @@ impl FeatureCacheStats {
             self.misses as f64 / self.accesses as f64
         }
     }
+
+    /// The statistics accrued since the snapshot `earlier`.
+    fn since(self, earlier: FeatureCacheStats) -> FeatureCacheStats {
+        FeatureCacheStats {
+            accesses: self.accesses - earlier.accesses,
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            dram_bytes: self.dram_bytes - earlier.dram_bytes,
+        }
+    }
+
+    /// Adds `n` repetitions of one pass's statistics.
+    fn add_passes(&mut self, pass: FeatureCacheStats, n: u64) {
+        self.accesses += n * pass.accesses;
+        self.hits += n * pass.hits;
+        self.misses += n * pass.misses;
+        self.dram_bytes += n * pass.dram_bytes;
+    }
 }
 
 /// A direct-mapped feature cache built on the MIR container.
@@ -110,6 +128,23 @@ impl FeatureCache {
     pub fn stats(&self) -> FeatureCacheStats {
         self.stats
     }
+
+    /// Walks one output-channel pass — every input-channel tile over the
+    /// resident map slices — and returns `false` once the access count
+    /// reaches `limit`.
+    fn walk_pass(&mut self, resident: &[&[u32]], ic_tiles: usize, limit: u64) -> bool {
+        for ic in 0..ic_tiles {
+            for inputs in resident {
+                for &input in *inputs {
+                    self.access(input, ic as u32);
+                    if self.stats.accesses >= limit {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Loop-nest description of one sparse layer's input accesses.
@@ -132,6 +167,14 @@ pub struct SparseAccessPlan {
 /// and output-channel tiles; weight-stationary inner over kernel offsets
 /// and the maps of the resident outputs; input channels tiled innermost.
 ///
+/// Every output-channel pass of one output tile walks the same access
+/// sequence. In a direct-mapped cache each set that sequence touches
+/// ends a pass holding the sequence's last tag for that set, so the tag
+/// state after the first pass is a fixpoint: the second pass's
+/// statistics repeat for every later pass. The simulation walks two
+/// passes per tile and adds the rest in bulk — exactly the statistics
+/// of walking all `oc_tiles` passes.
+///
 /// If `sample_limit` is `Some(n)`, simulation stops after `n` accesses
 /// (used by the compiler's block-size search).
 pub fn simulate_sparse_accesses(
@@ -141,30 +184,54 @@ pub fn simulate_sparse_accesses(
     sample_limit: Option<u64>,
 ) -> FeatureCacheStats {
     let mut cache = FeatureCache::new(cfg);
+    if plan.oc_tiles == 0 {
+        return cache.stats();
+    }
+    // The walk stops once the access count reaches the limit, and it
+    // always makes at least one access before checking.
+    let limit = sample_limit.map_or(u64::MAX, |n| n.max(1));
     let n_out = maps.outputs().iter().max().map_or(0, |&m| m as usize + 1);
     let tile_pts = plan.out_tile_points.max(1);
     let n_tiles = n_out.div_ceil(tile_pts).max(1);
-    'outer: for t in 0..n_tiles {
+    let mut resident: Vec<&[u32]> = Vec::with_capacity(maps.n_weights());
+    for t in 0..n_tiles {
         let lo = (t * tile_pts) as u32;
         let hi = ((t + 1) * tile_pts) as u32;
-        for _oc in 0..plan.oc_tiles {
-            for ic in 0..plan.ic_tiles {
-                for w in 0..maps.n_weights() {
-                    let group = maps.group(w);
-                    // Maps are emitted in ascending output order, so the
-                    // resident range is a contiguous slice.
-                    let start = group.outputs().partition_point(|&o| o < lo);
-                    let end = group.outputs().partition_point(|&o| o < hi);
-                    for &input in &group.inputs()[start..end] {
-                        cache.access(input, ic as u32);
-                        if let Some(limit) = sample_limit {
-                            if cache.stats().accesses >= limit {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
+        resident.clear();
+        resident.extend((0..maps.n_weights()).map(|w| {
+            let group = maps.group(w);
+            // Maps are emitted in ascending output order, so the
+            // resident range is a contiguous slice.
+            let start = group.outputs().partition_point(|&o| o < lo);
+            let end = group.outputs().partition_point(|&o| o < hi);
+            &group.inputs()[start..end]
+        }));
+        if !cache.walk_pass(&resident, plan.ic_tiles, limit) {
+            break;
+        }
+        if plan.oc_tiles == 1 {
+            continue;
+        }
+        let before = cache.stats;
+        if !cache.walk_pass(&resident, plan.ic_tiles, limit) {
+            break;
+        }
+        let pass = cache.stats.since(before);
+        if pass.accesses == 0 {
+            continue;
+        }
+        let rest = plan.oc_tiles as u64 - 2;
+        let whole = rest.min((limit - cache.stats.accesses) / pass.accesses);
+        cache.stats.add_passes(pass, whole);
+        if cache.stats.accesses >= limit {
+            // The limit landed exactly on a pass boundary.
+            break;
+        }
+        if whole < rest {
+            // The limit falls inside a later pass: walk it from the
+            // fixpoint state.
+            cache.walk_pass(&resident, plan.ic_tiles, limit);
+            break;
         }
     }
     cache.stats()
@@ -174,6 +241,45 @@ pub fn simulate_sparse_accesses(
 mod tests {
     use super::*;
     use pointacc_geom::MapEntry;
+    use proptest::prelude::*;
+
+    /// The uncollapsed loop nest: every output-channel pass walked in
+    /// full. The oracle for [`simulate_sparse_accesses`].
+    fn simulate_reference(
+        cfg: CacheConfig,
+        maps: &MapTable,
+        plan: SparseAccessPlan,
+        sample_limit: Option<u64>,
+    ) -> FeatureCacheStats {
+        let mut cache = FeatureCache::new(cfg);
+        let n_out = maps.outputs().iter().max().map_or(0, |&m| m as usize + 1);
+        let tile_pts = plan.out_tile_points.max(1);
+        let n_tiles = n_out.div_ceil(tile_pts).max(1);
+        'outer: for t in 0..n_tiles {
+            let lo = (t * tile_pts) as u32;
+            let hi = ((t + 1) * tile_pts) as u32;
+            for _oc in 0..plan.oc_tiles {
+                for ic in 0..plan.ic_tiles {
+                    for w in 0..maps.n_weights() {
+                        let group = maps.group(w);
+                        // Maps are emitted in ascending output order, so the
+                        // resident range is a contiguous slice.
+                        let start = group.outputs().partition_point(|&o| o < lo);
+                        let end = group.outputs().partition_point(|&o| o < hi);
+                        for &input in &group.inputs()[start..end] {
+                            cache.access(input, ic as u32);
+                            if let Some(limit) = sample_limit {
+                                if cache.stats().accesses >= limit {
+                                    break 'outer;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        cache.stats()
+    }
 
     fn seq_maps(n: usize, k: usize) -> MapTable {
         // Each output q reads inputs q, q+1, …, q+k−1 under k weights —
@@ -245,5 +351,70 @@ mod tests {
         let cfg = CacheConfig { capacity_bytes: 1024 * 1024, block_points: 1, row_bytes: 128 };
         let s = simulate_sparse_accesses(cfg, &maps, plan(), None);
         assert_eq!(s.misses, 64, "one cold miss per distinct input point");
+    }
+
+    /// Random map table: `n_maps` entries over `n_in` inputs, `n_out`
+    /// outputs and `n_weights` kernel offsets, drawn from `seed` and
+    /// emitted in ascending output order like the mapping unit's.
+    fn random_maps(seed: u64, n_in: u32, n_out: u32, n_weights: usize, n_maps: usize) -> MapTable {
+        let mut x = seed | 1;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let mut entries: Vec<MapEntry> = (0..n_maps)
+            .map(|_| {
+                let input = next(u64::from(n_in)) as u32;
+                let output = next(u64::from(n_out)) as u32;
+                let weight = next(n_weights as u64) as u16;
+                MapEntry::new(input, output, weight)
+            })
+            .collect();
+        entries.sort_by_key(|e| e.output);
+        MapTable::from_entries(entries, n_weights)
+    }
+
+    proptest! {
+        #[test]
+        fn collapsed_passes_match_the_full_loop_nest(
+            seed in 0u64..u64::MAX,
+            shape in (1u32..600, 1u32..300, 1usize..9, 0usize..1500),
+            plan in (1usize..5, 1usize..9, 1usize..130),
+            cache in (prop::sample::select(vec![512usize, 2048, 16 * 1024]), 1usize..17),
+            cut in (1u64..9, 0u64..1000),
+        ) {
+            let (n_in, n_out, n_weights, n_maps) = shape;
+            let maps = random_maps(seed, n_in, n_out, n_weights, n_maps);
+            let (ic_tiles, oc_tiles, out_tile_points) = plan;
+            let plan = SparseAccessPlan { ic_tiles, oc_tiles, out_tile_points };
+            let cfg = CacheConfig { capacity_bytes: cache.0, block_points: cache.1, row_bytes: 64 };
+            let full = simulate_reference(cfg, &maps, plan, None);
+            prop_assert_eq!(simulate_sparse_accesses(cfg, &maps, plan, None), full);
+            // Accesses in one output-channel pass of the first output
+            // tile: limits below one pass, on the k-th pass boundary and
+            // inside pass k + 1.
+            let resident = maps.outputs().iter().filter(|&&o| (o as usize) < out_tile_points);
+            let pass = (ic_tiles * resident.count()) as u64;
+            let (k, offset) = cut;
+            let limits = [
+                0,
+                1,
+                pass / 2,
+                k * pass,
+                k * pass + offset % pass.max(1),
+                offset * full.accesses / 999,
+                full.accesses + 1,
+            ];
+            for limit in limits {
+                prop_assert_eq!(
+                    simulate_sparse_accesses(cfg, &maps, plan, Some(limit)),
+                    simulate_reference(cfg, &maps, plan, Some(limit)),
+                    "limit {}",
+                    limit
+                );
+            }
+        }
     }
 }

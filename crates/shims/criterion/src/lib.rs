@@ -9,10 +9,10 @@
 //!
 //! Beyond API parity, the shim adds
 //! [`BenchmarkGroup::report_metric`]: a line for metrics the bench
-//! computed itself (e.g. an engine's *simulated* points/s from
-//! `EngineReport`), printed alongside the wall-clock rows. Wall-clock
-//! numbers vary with the host; a reported metric derived from modeled
-//! cycle costs is the stable signal perf PRs should watch.
+//! computed itself, printed alongside the wall-clock rows. The caller's
+//! unit says what the number is: a measured wall-clock ratio, or an
+//! engine's *simulated* points/s from `EngineReport`, which callers
+//! label "modeled".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -122,10 +122,10 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Prints a metric the benchmark computed itself (no timing loop) —
-    /// the channel for **stable, non-wall-clock** numbers such as an
-    /// engine's simulated points/s: identical on every host, so perf
-    /// regressions in the model show up as clean diffs.
+    /// Prints a metric the benchmark computed itself (no timing loop).
+    /// The line carries `unit` verbatim, so the unit says whether the
+    /// number is modeled ("points/s (modeled)") or measured
+    /// ("x (wall-clock)").
     pub fn report_metric(
         &mut self,
         id: impl Into<BenchmarkId>,
@@ -135,7 +135,7 @@ impl BenchmarkGroup {
         let id: BenchmarkId = id.into();
         let name =
             if self.name.is_empty() { id.label } else { format!("{}/{}", self.name, id.label) };
-        println!("{name:<40} {value:>14.1} {unit} (modeled)");
+        println!("{name:<40} {value:>14.1} {unit}");
         self
     }
 
@@ -233,7 +233,7 @@ mod tests {
         g.throughput(Throughput::Bytes(4096));
         g.bench_function("bytes", |b| b.iter(|| ran = ran.wrapping_add(1)));
         // A self-computed metric needs no timing loop at all.
-        g.report_metric(BenchmarkId::new("modeled", "engine"), 123456.7, "points/s");
+        g.report_metric(BenchmarkId::new("modeled", "engine"), 123456.7, "points/s (modeled)");
         g.finish();
         assert!(ran > 0);
     }
