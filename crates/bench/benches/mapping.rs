@@ -9,7 +9,9 @@
 //! points/s. The acceptance bars for the backend are a ≥ 3× speedup on
 //! kNN / ball-query / fused kernel-map construction / bucket-pruned
 //! exact FPS and ≥ 2× for the opt-in approximate FPS against the exact
-//! golden sweep.
+//! golden sweep. Each ratio is a median over reps that run golden and
+//! indexed back to back in alternating order, so host drift lands on
+//! both sides.
 //!
 //! Workload size follows `POINTACC_SCALE` (clamped so the golden O(n²)
 //! side stays benchmarkable at scale 1.0).
@@ -24,23 +26,39 @@ use pointacc_geom::index::{MappingBackend, GOLDEN, INDEXED};
 use pointacc_geom::PointSet;
 use pointacc_nn::zoo;
 
-/// Median wall-clock seconds of `reps` runs of `f`.
-fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut ts = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        black_box(f());
-        ts.push(t.elapsed().as_secs_f64());
-    }
+/// Wall-clock seconds of one run of `f`.
+fn time_once<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let t = Instant::now();
+    black_box(f());
+    t.elapsed().as_secs_f64()
+}
+
+fn median(mut ts: Vec<f64>) -> f64 {
     ts.sort_by(f64::total_cmp);
-    ts[reps / 2]
+    ts[ts.len() / 2]
+}
+
+/// Median wall-clock seconds of `reps` runs each of `a` and `b`. Every
+/// rep runs both, in alternating order, so host drift during the loop
+/// lands on both sides of the ratio instead of on whichever ran second.
+fn time_pair<A, B>(reps: usize, mut a: impl FnMut() -> A, mut b: impl FnMut() -> B) -> (f64, f64) {
+    let mut ta = Vec::with_capacity(reps);
+    let mut tb = Vec::with_capacity(reps);
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            ta.push(time_once(&mut a));
+            tb.push(time_once(&mut b));
+        } else {
+            tb.push(time_once(&mut b));
+            ta.push(time_once(&mut a));
+        }
+    }
+    (median(ta), median(tb))
 }
 
 /// One op timed on both backends; returns `(golden_s, indexed_s)`.
 fn compare<R>(reps: usize, op: impl Fn(&'static dyn MappingBackend) -> R) -> (f64, f64) {
-    let golden = time_median(reps, || op(&GOLDEN));
-    let indexed = time_median(reps, || op(&INDEXED));
-    (golden, indexed)
+    time_pair(reps, || op(&GOLDEN), || op(&INDEXED))
 }
 
 fn main() {
@@ -73,8 +91,11 @@ fn main() {
     // Approximate FPS is opt-in and not bit-identical, so its baseline is
     // the *exact* golden sweep: the speedup a caller buys by flipping the
     // `ExecOptions::approx_fps` knob.
-    let fpsx_g = time_median(reps, || black_box(GOLDEN.farthest_point_sampling(&pts, m)).len());
-    let fpsx_i = time_median(reps, || black_box(INDEXED.fps_approx(&pts, m)).len());
+    let (fpsx_g, fpsx_i) = time_pair(
+        reps,
+        || black_box(GOLDEN.farthest_point_sampling(&pts, m)).len(),
+        || black_box(INDEXED.fps_approx(&pts, m)).len(),
+    );
 
     let rows = [
         ("knn", knn_g, knn_i),

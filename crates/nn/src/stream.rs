@@ -1,39 +1,28 @@
 //! Cross-frame trace reuse for streaming point-cloud serving.
 //!
 //! A LiDAR stream's consecutive sweeps overlap heavily (the paper's
-//! SemanticKITTI workload is a sequence, not independent clouds), yet
-//! mapping-op compilation — the dominant trace cost — recomputes from
-//! scratch per request. [`StreamingTracer`] wraps an [`Executor`] with
-//! two delta-aware fast paths checked per frame, cheapest first:
-//!
-//! 1. **Exact reuse** — the frame's points are bit-identical to the
-//!    previous frame's (hash-gated, then verified by full comparison, so
-//!    a hash collision can never serve a wrong trace). Every executor
-//!    product is a pure function of `(network, seed, points)`, so the
-//!    cached output is returned as-is.
-//! 2. **Voxel reuse** — for voxel-domain networks, the frame voxelizes
-//!    to the same lattice cloud even though raw points jittered or
-//!    churned within voxels. The executor derives both the trace and
-//!    the input features from the voxel cloud alone (voxel centers), so
-//!    the cached output is again exact, not approximate — equivalence
-//!    is pinned by fingerprint-equality tests in `tests/streaming.rs`.
+//! SemanticKITTI workload is a sequence, not independent clouds), and a
+//! stopped vehicle sees the same sweep over and over. [`StreamingTracer`]
+//! wraps an [`Executor`] with one fast path checked per frame: **exact
+//! reuse**. When the frame's points are bit-identical to the previous
+//! frame's (hash-gated, then verified by full comparison, so a hash
+//! collision can never serve a wrong trace), the cached output is
+//! returned as-is. Every executor product is a pure function of
+//! `(network, seed, points)`, so this is exact, not approximate.
 //!
 //! Anything else compiles normally and replaces the cached frame.
 //! Reuse is reported through [`StreamStats`], mirroring the
 //! `CacheStats::accounting` style the warm-start CI check greps.
 
-use pointacc_geom::{PointSet, VoxelCloud};
+use pointacc_geom::PointSet;
 
-use crate::{Domain, ExecError, ExecMode, ExecOutput, Executor, Network};
+use crate::{ExecError, ExecMode, ExecOutput, Executor, Network};
 
 /// How a frame's request was satisfied.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum ReuseOutcome {
     /// Points bit-identical to the previous frame: cached output reused.
     ExactReuse,
-    /// Same voxel lattice as the previous frame (voxel-domain network):
-    /// cached output reused.
-    VoxelReuse,
     /// No reusable previous frame: compiled by the executor.
     Compiled,
 }
@@ -46,8 +35,6 @@ pub struct StreamStats {
     pub frames: u64,
     /// Frames served from the exact-match fast path.
     pub exact_reuses: u64,
-    /// Frames served from the voxel-equality fast path.
-    pub voxel_reuses: u64,
     /// Frames that compiled a fresh trace.
     pub compiles: u64,
 }
@@ -58,8 +45,8 @@ impl StreamStats {
     /// zero new traces.
     pub fn accounting(&self) -> String {
         format!(
-            "frames={} exact_reuses={} voxel_reuses={} compiles={}",
-            self.frames, self.exact_reuses, self.voxel_reuses, self.compiles
+            "frames={} exact_reuses={} compiles={}",
+            self.frames, self.exact_reuses, self.compiles
         )
     }
 
@@ -67,7 +54,6 @@ impl StreamStats {
         self.frames += 1;
         match outcome {
             ReuseOutcome::ExactReuse => self.exact_reuses += 1,
-            ReuseOutcome::VoxelReuse => self.voxel_reuses += 1,
             ReuseOutcome::Compiled => self.compiles += 1,
         }
     }
@@ -95,14 +81,12 @@ struct CachedFrame {
     network: String,
     point_hash: u64,
     points: PointSet,
-    /// The frame's voxelization, kept only for voxel-domain networks.
-    voxels: Option<VoxelCloud>,
     output: ExecOutput,
 }
 
 /// An [`Executor`] wrapper that serves a frame stream, reusing the
-/// previous frame's compiled output whenever the fast-path checks prove
-/// it is bit-identical to what a fresh compile would produce.
+/// previous frame's compiled output whenever the frame's points are
+/// bit-identical to the previous frame's.
 ///
 /// # Examples
 ///
@@ -140,10 +124,10 @@ impl StreamingTracer {
         StreamingTracer { exec, last: None, stats: StreamStats::default() }
     }
 
-    /// Runs one frame, reusing the previous frame's output when one of
-    /// the fast paths proves equivalence. Returns the output and how it
-    /// was produced. A failed run neither counts a frame nor disturbs
-    /// the cached one.
+    /// Runs one frame, reusing the previous frame's output when the
+    /// points are bit-identical to the previous frame's. Returns the
+    /// output and how it was produced. A failed run neither counts a
+    /// frame nor disturbs the cached one.
     pub fn run_frame(
         &mut self,
         net: &Network,
@@ -159,40 +143,11 @@ impl StreamingTracer {
                 return Ok((last.output.clone(), ReuseOutcome::ExactReuse));
             }
         }
-        // Voxel-domain networks depend on the input only through its
-        // voxelization (the executor derives input features from voxel
-        // centers), so lattice equality implies output equality.
-        let voxels = match net.domain() {
-            Domain::VoxelBased => match net.voxel_size() {
-                Some(v) if v.is_finite() && v > 0.0 && !points.is_empty() => {
-                    Some(points.voxelize(v).0)
-                }
-                _ => None,
-            },
-            Domain::PointBased => None,
-        };
-        if let (Some(vc), Some(last)) = (&voxels, &self.last) {
-            if last.network == net.name()
-                && last.voxels.as_ref().is_some_and(|lv| lv.coords() == vc.coords())
-            {
-                let output = last.output.clone();
-                self.last = Some(CachedFrame {
-                    network: net.name().to_string(),
-                    point_hash: hash,
-                    points: points.clone(),
-                    voxels,
-                    output: output.clone(),
-                });
-                self.stats.record(ReuseOutcome::VoxelReuse);
-                return Ok((output, ReuseOutcome::VoxelReuse));
-            }
-        }
         let output = self.exec.try_run(net, points)?;
         self.last = Some(CachedFrame {
             network: net.name().to_string(),
             point_hash: hash,
             points: points.clone(),
-            voxels,
             output: output.clone(),
         });
         self.stats.record(ReuseOutcome::Compiled);
@@ -237,14 +192,11 @@ mod tests {
         assert_eq!(o1, ReuseOutcome::Compiled);
         assert_eq!(o2, ReuseOutcome::ExactReuse);
         assert_eq!(first.trace.fingerprint(), second.trace.fingerprint());
-        assert_eq!(
-            tracer.stats().accounting(),
-            "frames=2 exact_reuses=1 voxel_reuses=0 compiles=1"
-        );
+        assert_eq!(tracer.stats().accounting(), "frames=2 exact_reuses=1 compiles=1");
     }
 
     #[test]
-    fn voxel_reuse_fires_on_jittered_points() {
+    fn jittered_frame_recompiles_to_a_fresh_compile() {
         let net = zoo::minknet_outdoor();
         let v = net.voxel_size().unwrap();
         // Snap points to voxel centers so a sub-half-voxel jitter
@@ -262,13 +214,14 @@ mod tests {
             .collect();
         assert_eq!(pts.voxelize(v).0.coords(), jittered.voxelize(v).0.coords());
         let mut tracer = StreamingTracer::new(ExecMode::TraceOnly, 42);
-        let (first, _) = tracer.run_frame(&net, &pts).unwrap();
+        tracer.run_frame(&net, &pts).unwrap();
+        // Same lattice, different points: only exact reuse exists, so
+        // the frame compiles, and the result is a fresh compile's.
         let (second, outcome) = tracer.run_frame(&net, &jittered).unwrap();
-        assert_eq!(outcome, ReuseOutcome::VoxelReuse);
-        // Bit-identical to what a fresh compile would have produced.
+        assert_eq!(outcome, ReuseOutcome::Compiled);
         let fresh = Executor::new(ExecMode::TraceOnly, 42).try_run(&net, &jittered).unwrap();
         assert_eq!(second.trace.fingerprint(), fresh.trace.fingerprint());
-        assert_eq!(first.trace.fingerprint(), second.trace.fingerprint());
+        assert_eq!(tracer.stats().accounting(), "frames=2 exact_reuses=0 compiles=2");
     }
 
     #[test]
@@ -290,7 +243,7 @@ mod tests {
         let nudged: PointSet =
             pts.points().iter().map(|p| Point3::new(p.x + 1e-6, p.y, p.z)).collect();
         let (_, outcome) = tracer.run_frame(&net, &nudged).unwrap();
-        assert_eq!(outcome, ReuseOutcome::Compiled, "no voxel lattice to prove equivalence");
+        assert_eq!(outcome, ReuseOutcome::Compiled, "a nudged point is not an exact match");
     }
 
     #[test]

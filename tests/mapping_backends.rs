@@ -319,9 +319,9 @@ fn empty_and_degenerate_clouds_agree() {
 
 #[test]
 fn large_inputs_cross_the_parallel_thresholds_and_agree() {
-    // Sizes chosen to exceed QUERY_PAR_WORK / KERNEL_PAR_WORK / the FPS
-    // chunk-parallel gate, so this exercises the multi-threaded paths of
-    // the indexed backend against the serial oracle.
+    // Sizes chosen to exceed QUERY_PAR_WORK / KERNEL_PAR_WORK, so this
+    // exercises the multi-threaded paths of the indexed backend against
+    // the serial oracle.
     let pts: PointSet = (0..6000)
         .map(|i| {
             let t = i as f32;
